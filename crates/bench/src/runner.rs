@@ -839,6 +839,12 @@ impl Runner {
 mod tests {
     use super::*;
 
+    /// The installed tracer is one per process, so tests that install one
+    /// take turns: otherwise one test's `install` replaces the other's
+    /// tracer and its `uninstall` takes it.
+    #[cfg(feature = "trace")]
+    static TRACER_TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn env_knob_parsing_is_hardened() {
         // Absent or blank: use the default.
@@ -977,10 +983,11 @@ mod tests {
             },
             EngineVariant::Tmu,
         );
+        let _turn = TRACER_TURN.lock().unwrap_or_else(|e| e.into_inner());
         let export = |workers: usize| {
             // Fresh runner per export so the memo cache cannot skip the
             // traced simulation; the global tracer is thread-scoped, so
-            // concurrently running tests cannot interleave into it.
+            // concurrently running simulations cannot interleave into it.
             tmu_trace::install(Tracer::new(TraceConfig::default()));
             Runner::with_workers(workers).run(&job);
             let tracer = tmu_trace::uninstall().expect("tracer installed");
@@ -1046,6 +1053,7 @@ mod tests {
             },
             EngineVariant::Tmu,
         );
+        let _turn = TRACER_TURN.lock().unwrap_or_else(|e| e.into_inner());
         tmu_trace::install(Tracer::new(TraceConfig::default()));
         Runner::with_workers(1).run(&job);
         let tracer = tmu_trace::uninstall().expect("tracer installed");

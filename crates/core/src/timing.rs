@@ -189,6 +189,21 @@ impl ReadyRing {
     }
 }
 
+/// What the head of a stream queue waits on, cached until it pops: an
+/// issued load's ready cycle never changes, so only an unissued
+/// dependency needs re-checking. (Ring eviction, which turns a ready
+/// cycle into 0, reaches only loads that completed long before.)
+#[derive(Debug, Default, Clone, Copy)]
+enum HeadWait {
+    /// Not evaluated since the head arrived.
+    #[default]
+    Unknown,
+    /// Every dependency has issued; the last is ready at this cycle.
+    ReadyAt(u64),
+    /// This dependency has not issued yet.
+    Unissued(ElemId),
+}
+
 /// One stream queue of a TU (§5.4: requests within a queue issue in
 /// order; each stream coalesces into its own last-requested cacheline).
 #[derive(Debug, Default)]
@@ -196,6 +211,104 @@ struct StreamQueue {
     queue: VecDeque<MemLoad>,
     last_line: u64,
     last_ready: u64,
+    wait: HeadWait,
+}
+
+impl StreamQueue {
+    /// Cycle every dependency of the head load is ready at, or
+    /// [`UNISSUED`] while one has not issued.
+    fn head_deps_ready(&mut self, ready: &ReadyRing) -> u64 {
+        match self.wait {
+            HeadWait::ReadyAt(cycle) => return cycle,
+            HeadWait::Unissued(dep) if ready.get(dep) == UNISSUED => return UNISSUED,
+            _ => {}
+        }
+        let Some(head) = self.queue.front() else {
+            return UNISSUED;
+        };
+        let mut all = 0;
+        for &dep in &head.deps {
+            let at = ready.get(dep);
+            if at == UNISSUED {
+                self.wait = HeadWait::Unissued(dep);
+                return UNISSUED;
+            }
+            all = all.max(at);
+        }
+        self.wait = HeadWait::ReadyAt(all);
+        all
+    }
+
+    /// Pops the head load, whose line `line` is ready at `line_ready`,
+    /// and returns its id.
+    fn pop(&mut self, line: u64, line_ready: u64) -> ElemId {
+        let head = self.queue.pop_front().expect("head checked");
+        self.last_line = line;
+        self.last_ready = line_ready;
+        self.wait = HeadWait::Unknown;
+        head.id
+    }
+}
+
+/// What one engine tick did.
+///
+/// A tick that moved nothing leaves the engine exactly as it found it, so
+/// every later tick repeats it — same counter increments, nothing moved —
+/// until time reaches `wake` or the core acknowledges a chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TickLog {
+    /// Increments of [`TmuAccelerator::debug_counters`].
+    counters: [u64; 4],
+    /// Cycles stalled on the double-buffer gate (0 or 1).
+    backpressure: u64,
+    /// A step left the interpreter, a load issued or merged, a step
+    /// committed or a chunk sealed.
+    moved: bool,
+    /// Earliest finite cycle a dependency-blocked stream head or the
+    /// gate-blocked front step becomes ready (`u64::MAX`: none).
+    wake: u64,
+}
+
+impl TickLog {
+    /// A log that repeats at no cycle.
+    const NONE: Self = Self {
+        counters: [0; 4],
+        backpressure: 0,
+        moved: false,
+        wake: 0,
+    };
+
+    fn new() -> Self {
+        Self {
+            wake: u64::MAX,
+            ..Self::NONE
+        }
+    }
+
+    fn wake_at(&mut self, ready: u64) {
+        if ready != UNISSUED {
+            self.wake = self.wake.min(ready);
+        }
+    }
+}
+
+/// outQ counts not yet added to the shared [`OutQStats`]: kept out of the
+/// mutex on the per-cycle path. Published at every seal — a finished
+/// engine has sealed its last entry, and no back-pressure follows it —
+/// and when the engine quiesces, traps or retires.
+#[derive(Debug, Clone, Copy, Default)]
+struct Unpublished {
+    entries: u64,
+    backpressure_cycles: u64,
+}
+
+impl Unpublished {
+    /// Adds the counts into `stats` and zeroes them.
+    fn flush_into(&mut self, stats: &mut OutQStats) {
+        stats.entries += self.entries;
+        stats.backpressure_cycles += self.backpressure_cycles;
+        *self = Self::default();
+    }
 }
 
 #[derive(Debug, Default)]
@@ -254,7 +367,11 @@ pub struct TmuAccelerator<H: CallbackHandler> {
     vm: VecMachine,
     host_ops: VecDeque<Op>,
     stats: Arc<Mutex<OutQStats>>,
+    unpublished: Unpublished,
     outq_site: Site,
+    /// The last tick, if it moved nothing: until `idle.wake` every tick
+    /// repeats it (fault-free, untraced engines only).
+    idle: TickLog,
     /// Diagnostic counters: (cycles with no issue while work pending,
     /// capacity-blocked picks, dep-blocked picks, gate-blocked step waits).
     pub debug_counters: [u64; 4],
@@ -356,7 +473,9 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             vm: VecMachine::new(),
             host_ops: VecDeque::new(),
             stats: Arc::new(Mutex::new(OutQStats::default())),
+            unpublished: Unpublished::default(),
             outq_site: Site(u16::MAX),
+            idle: TickLog::NONE,
             debug_counters: [0; 4],
             #[cfg(feature = "trace")]
             trace: None,
@@ -396,7 +515,18 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
 
     /// Snapshot of the current outQ statistics.
     pub fn stats(&self) -> OutQStats {
-        self.stats.lock().expect("stats poisoned").clone()
+        let mut stats = self.stats.lock().expect("stats poisoned").clone();
+        let mut unpublished = self.unpublished;
+        unpublished.flush_into(&mut stats);
+        stats
+    }
+
+    /// Publishes the outQ counts kept outside the shared stats and
+    /// returns the entries marshaled so far.
+    fn publish(&mut self) -> u64 {
+        let mut stats = self.stats.lock().expect("stats poisoned");
+        self.unpublished.flush_into(&mut stats);
+        stats.entries
     }
 
     /// The callback handler (for reading back results it accumulated).
@@ -408,6 +538,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
     /// schedules; rate-based plans normally come from `cfg.faults`).
     pub fn inject_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
+        self.idle = TickLog::NONE;
     }
 
     /// Fault-injection counters so far (zeroes when no plan is attached).
@@ -491,7 +622,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         if self.chunk_entries > 0 {
             self.seal_chunk(now, core, mem);
         }
-        let entries = self.stats.lock().expect("stats poisoned").entries;
+        let entries = self.publish();
         let snap = ContextSnapshot::save(self.cfg, &self.program, self.steps_committed, entries)
             .with_outq(self.chunk_id, self.tenant);
         self.saved = None;
@@ -596,7 +727,9 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             vm: VecMachine::new(),
             host_ops: VecDeque::new(),
             stats,
+            unpublished: Unpublished::default(),
             outq_site: Site(u16::MAX),
+            idle: TickLog::NONE,
             debug_counters: [0; 4],
             #[cfg(feature = "trace")]
             trace: None,
@@ -622,6 +755,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         self.saved = None;
         self.trap_pending = None;
         let mut stats = self.stats.lock().expect("stats poisoned");
+        self.unpublished.flush_into(&mut stats);
         stats.retired = Some(err.to_string());
         if let Some(plan) = self.faults.as_ref() {
             stats.faults = plan.stats;
@@ -652,7 +786,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             return;
         }
         plan.stats.traps += 1;
-        let entries = self.stats.lock().expect("stats poisoned").entries;
+        let entries = self.publish();
         self.saved = Some(
             ContextSnapshot::save(self.cfg, &self.program, self.steps_committed, entries)
                 .with_outq(self.chunk_id, self.tenant),
@@ -713,8 +847,9 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         }
     }
 
-    fn refill(&mut self) {
+    fn refill(&mut self, log: &mut TickLog) {
         while self.pending.len() < 512 && !self.steps_done {
+            log.moved = true;
             self.batcher.fill(64);
             match self.batcher.pop() {
                 Some(step) => {
@@ -739,7 +874,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
 
     /// §5.4 arbiter: picks and issues at most one new cacheline request
     /// (plus free same-line coalesced loads).
-    fn arbitrate(&mut self, now: u64, core: usize, mem: &mut MemSys) {
+    fn arbitrate(&mut self, now: u64, core: usize, mem: &mut MemSys, log: &mut TickLog) {
         // §5.1/§5.4: each TU FSM advances at most one element per cycle —
         // every stream queue pops at most once — and the whole engine
         // issues at most one *new* cacheline request per cycle. A request
@@ -749,33 +884,31 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         let mut had_work = false;
         for layer in 0..self.tus.len() {
             let lanes = self.tus[layer].len();
+            let depth = self.qdepth[layer] as u64;
             for k in 0..lanes {
                 let lane = (self.rr[layer] + k) % lanes;
                 let n_streams = self.tus[layer][lane].streams.len();
                 for stream in 0..n_streams {
-                    let depth = self.qdepth[layer] as u64;
-                    let tu = &self.tus[layer][lane];
-                    let sq = &tu.streams[stream];
+                    let tu = &mut self.tus[layer][lane];
+                    let capacity = tu.consumed_elems + depth;
+                    let sq = &mut tu.streams[stream];
                     let Some(head) = sq.queue.front() else {
                         continue;
                     };
                     had_work = true;
                     // Queue capacity (§5.5) and dependency readiness.
-                    if head.elem_ordinal >= tu.consumed_elems + depth {
-                        self.debug_counters[1] += 1;
-                        continue;
-                    }
-                    let deps_ready = head
-                        .deps
-                        .iter()
-                        .map(|&d| self.ready.get(d))
-                        .max()
-                        .unwrap_or(0);
-                    if deps_ready == UNISSUED || deps_ready > now {
-                        self.debug_counters[2] += 1;
+                    if head.elem_ordinal >= capacity {
+                        log.counters[1] += 1;
                         continue;
                     }
                     let line = tmu_sim::line_of(head.addr);
+                    let addr = head.addr;
+                    let deps_ready = sq.head_deps_ready(&self.ready);
+                    if deps_ready == UNISSUED || deps_ready > now {
+                        log.counters[2] += 1;
+                        log.wake_at(deps_ready);
+                        continue;
+                    }
                     let merged = if sq.last_line == line && sq.last_ready != 0 {
                         Some(sq.last_ready)
                     } else {
@@ -785,11 +918,9 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                             .map(|&(_, ready)| ready)
                     };
                     if let Some(line_ready) = merged {
-                        let sq = &mut self.tus[layer][lane].streams[stream];
-                        let head = sq.queue.pop_front().expect("checked");
-                        sq.last_line = line;
-                        sq.last_ready = line_ready.max(1);
-                        self.ready.set(head.id, line_ready.max(now));
+                        let id = sq.pop(line, line_ready.max(1));
+                        self.ready.set(id, line_ready.max(now));
+                        log.moved = true;
                         continue;
                     }
                     if issued_line {
@@ -829,15 +960,13 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                             }
                         }
                     }
-                    let done = mem.accel_read(core, head.addr, now) + retry_extra;
-                    let sq = &mut self.tus[layer][lane].streams[stream];
-                    let head = sq.queue.pop_front().expect("checked");
-                    sq.last_line = line;
-                    sq.last_ready = done;
+                    let done = mem.accel_read(core, addr, now) + retry_extra;
+                    let id = self.tus[layer][lane].streams[stream].pop(line, done);
                     self.global_lines[self.global_pos] = (line, done);
                     self.global_pos = (self.global_pos + 1) % self.global_lines.len();
-                    self.ready.set(head.id, done);
+                    self.ready.set(id, done);
                     issued_line = true;
+                    log.moved = true;
                     self.rr[layer] = (lane + 1) % lanes;
                     #[cfg(feature = "trace")]
                     self.emit(
@@ -852,13 +981,13 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             }
         }
         if !issued_line && had_work {
-            self.debug_counters[0] += 1;
+            log.counters[0] += 1;
         }
     }
 
     /// Advances outQ construction: completes in-order steps whose gates
     /// are ready, pushing at most one entry per cycle.
-    fn advance_steps(&mut self, now: u64, core: usize, mem: &mut MemSys) {
+    fn advance_steps(&mut self, now: u64, core: usize, mem: &mut MemSys, log: &mut TickLog) {
         let mut free_steps = 4;
         let mut pushed_entry = false;
         while free_steps > 0 && !pushed_entry {
@@ -874,10 +1003,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             // Double-buffer gate: entries may only enter chunk c when the
             // core has acked chunk c-2.
             if !step.entries.is_empty() && self.chunk_id >= self.acked + 2 {
-                self.stats
-                    .lock()
-                    .expect("stats poisoned")
-                    .backpressure_cycles += 1;
+                log.backpressure += 1;
                 #[cfg(feature = "trace")]
                 self.emit(
                     now,
@@ -893,11 +1019,13 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
                 .max()
                 .unwrap_or(0);
             if gates_ready == UNISSUED || gates_ready > now {
-                self.debug_counters[3] += 1;
+                log.counters[3] += 1;
+                log.wake_at(gates_ready);
                 break;
             }
             let step = self.pending.pop_front().expect("checked");
             self.steps_committed += 1;
+            log.moved = true;
             #[cfg(feature = "trace")]
             {
                 if step.layer != self.trace_layer {
@@ -942,7 +1070,26 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         // Seal a trailing partial chunk once traversal has finished.
         if self.pending.is_empty() && self.steps_done && self.chunk_entries > 0 {
             self.seal_chunk(now, core, mem);
+            log.moved = true;
         }
+    }
+
+    /// Adds one tick's counts to the engine's counters.
+    fn count(&mut self, log: TickLog) {
+        for (c, d) in self.debug_counters.iter_mut().zip(log.counters) {
+            *c += d;
+        }
+        self.unpublished.backpressure_cycles += log.backpressure;
+    }
+
+    /// Whether idle ticks may be fast-forwarded: a fault plan can fire on
+    /// any cycle, and a tracer records per-cycle events.
+    fn fast_forward_ok(&self) -> bool {
+        #[cfg(feature = "trace")]
+        if self.trace.is_some() {
+            return false;
+        }
+        self.faults.is_none()
     }
 
     fn entry_addr(&self) -> u64 {
@@ -960,7 +1107,7 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
         self.handler.handle(entry, load, &mut self.vm);
         self.chunk_entries += 1;
         self.chunk_bytes += bytes.max(64);
-        self.stats.lock().expect("stats poisoned").entries += 1;
+        self.unpublished.entries += 1;
         #[cfg(feature = "trace")]
         self.emit(
             now,
@@ -983,16 +1130,15 @@ impl<H: CallbackHandler> TmuAccelerator<H> {
             op.visible_at = visible;
         }
         self.host_ops.extend(ops);
-        self.stats
-            .lock()
-            .expect("stats poisoned")
-            .chunks
-            .push(ChunkStat {
-                open: self.chunk_open,
-                ready: visible,
-                ack: 0,
-                entries: self.chunk_entries,
-            });
+        let mut stats = self.stats.lock().expect("stats poisoned");
+        self.unpublished.flush_into(&mut stats);
+        stats.chunks.push(ChunkStat {
+            open: self.chunk_open,
+            ready: visible,
+            ack: 0,
+            entries: self.chunk_entries,
+        });
+        drop(stats);
         #[cfg(feature = "trace")]
         self.emit(
             self.chunk_open,
@@ -1013,6 +1159,8 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
             // component is registered on the first traced tick.
             if self.trace.is_none() && tmu_trace::is_active() {
                 self.trace = tmu_trace::with(|t| t.component(&format!("system.core{core}.tmu")));
+                // Traced ticks are never skipped.
+                self.idle = TickLog::NONE;
             }
             if self.trace.is_some() && self.sampler.due(now) {
                 self.emit(
@@ -1028,6 +1176,14 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
             }
         }
         if self.retired.is_some() || self.parked {
+            return;
+        }
+        // Exact idle fast-forward: before the recorded wake cycle this
+        // tick would repeat the last one, so only its counts are added.
+        // Debug builds run it in full instead and check that it does.
+        let repeat = now < self.idle.wake;
+        if repeat && !cfg!(debug_assertions) {
+            self.count(self.idle);
             return;
         }
         if self.saved.is_some() {
@@ -1059,13 +1215,23 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
                 _ => self.trap_pending = Some(kind),
             }
         }
-        self.refill();
-        self.arbitrate(now, core, mem);
-        self.advance_steps(now, core, mem);
+        let mut log = TickLog::new();
+        self.refill(&mut log);
+        self.arbitrate(now, core, mem, &mut log);
+        self.advance_steps(now, core, mem, &mut log);
+        self.count(log);
         if self.trap_pending.is_some() {
             self.take_trap(now);
         }
         self.publish_fault_stats();
+        if repeat {
+            debug_assert_eq!(log, self.idle, "cycle {now}: idle tick did not repeat");
+        }
+        self.idle = if log.moved || !self.fast_forward_ok() {
+            TickLog::NONE
+        } else {
+            log
+        };
     }
 
     fn drain_ops(&mut self, out: &mut Vec<Op>) {
@@ -1074,6 +1240,8 @@ impl<H: CallbackHandler> Accelerator for TmuAccelerator<H> {
 
     fn ack_chunk(&mut self, chunk: u32, now: u64) {
         self.acked = self.acked.max(chunk + 1);
+        // The double-buffer gate may have opened.
+        self.idle = TickLog::NONE;
         let mut stats = self.stats.lock().expect("stats poisoned");
         if let Some(stat) = stats.chunks.get_mut(chunk as usize) {
             stat.ack = now;

@@ -178,7 +178,6 @@ impl ServedCore {
             ];
             if watchdog.stuck(self.now, sig) {
                 let dump = self.dump_state(accel, tenant);
-                eprintln!("{dump}");
                 return Err(SimError::Watchdog {
                     cycle: self.now,
                     window: self.watchdog_cycles,

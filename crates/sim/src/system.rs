@@ -660,8 +660,8 @@ impl System {
         s
     }
 
-    /// Emits the watchdog trace event, prints the dump to stderr, and
-    /// builds the typed error.
+    /// Emits the watchdog trace event and builds the typed error, which
+    /// carries the dump (callers decide whether to print it).
     fn watchdog_fire(&self, now: u64, dump: String) -> SimError {
         #[cfg(feature = "trace")]
         tmu_trace::with(|t| {
@@ -673,7 +673,6 @@ impl System {
                 self.watchdog_cycles,
             );
         });
-        eprintln!("{dump}");
         SimError::Watchdog {
             cycle: now,
             window: self.watchdog_cycles,

@@ -14,6 +14,9 @@ echo "== tier-1: build + test =="
 cargo build --release
 cargo test -q
 
+echo "== every workspace suite in release (incl. the engine's fault-resume and quiesce unit tests) =="
+cargo test -q --workspace --release
+
 echo "== expression front-end: unit + differential + robustness suites =="
 cargo test -q -p tmu-front
 
