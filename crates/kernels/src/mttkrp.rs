@@ -209,6 +209,11 @@ impl Mttkrp {
         parts
     }
 
+    /// Shared memory image (for standalone engine experiments).
+    pub fn image_handle(&self) -> Arc<MemImage> {
+        Arc::clone(&self.image)
+    }
+
     /// Builds the TMU program for an nnz range.
     pub fn build_program(&self, range: (usize, usize), lanes: usize) -> Program {
         match self.variant {

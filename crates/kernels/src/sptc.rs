@@ -210,6 +210,11 @@ impl Sptc {
         partition_flat(self.a.idxs[0].len(), cores)
     }
 
+    /// Shared memory image (for standalone engine experiments).
+    pub fn image_handle(&self) -> Arc<MemImage> {
+        Arc::clone(&self.image)
+    }
+
     /// Builds the Table 4 SpTC TMU program for a root-node range.
     pub fn build_program(&self, roots: (usize, usize)) -> Program {
         let mut bld = ProgramBuilder::new();

@@ -124,6 +124,11 @@ impl Spttm {
         partition_flat(self.t.idxs[0].len(), cores)
     }
 
+    /// Shared memory image (for standalone engine experiments).
+    pub fn image_handle(&self) -> Arc<MemImage> {
+        Arc::clone(&self.image)
+    }
+
     /// Builds the Table 4 SpTTM TMU program for a root-node range.
     pub fn build_program(&self, roots: (usize, usize), lanes: usize) -> Program {
         let lanes = lanes.min(RANK);

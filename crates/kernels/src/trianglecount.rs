@@ -101,6 +101,11 @@ impl TriangleCount {
         }
     }
 
+    /// Shared memory image (for standalone engine experiments).
+    pub fn image_handle(&self) -> Arc<MemImage> {
+        Arc::clone(&self.image)
+    }
+
     /// Builds the Table 4 TriangleCount TMU program for a row range.
     pub fn build_program(&self, rows: (usize, usize)) -> Program {
         let mut b = ProgramBuilder::new();
