@@ -10,7 +10,7 @@ use crate::program::StreamTy;
 pub type ElemId = u64;
 
 /// A memory load performed by a TU's `mem` stream for one element.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemLoad {
     /// Unique id (readiness handle).
     pub id: ElemId,
@@ -31,9 +31,10 @@ pub struct MemLoad {
 }
 
 /// Kind of a traversal-group step (§5.2 FSM states).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StepKind {
     /// `gbeg`: a traversal/merge begins.
+    #[default]
     Beg,
     /// `gite`: one co-iteration/merge step.
     Ite,
@@ -156,7 +157,10 @@ impl OutQEntry {
 }
 
 /// One traversal-group step in nested-loop order.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The timing engine recycles steps: [`crate::Interp::fill_step`]
+/// overwrites one in place, reusing every buffer it holds.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Step {
     /// Layer that stepped.
     pub layer: u8,

@@ -17,6 +17,11 @@ cargo test -q
 echo "== every workspace suite in release (incl. the engine's fault-resume and quiesce unit tests) =="
 cargo test -q --workspace --release
 
+echo "== TMU engine unit suite in debug (idle fast-forward self-check, step-pipeline conservation asserts) =="
+# The workspace pass above is release-only, where debug_assert!s compile
+# out; this runs the engine's own invariants.
+cargo test -q -p tmu
+
 echo "== expression front-end: unit + differential + robustness suites =="
 cargo test -q -p tmu-front
 
